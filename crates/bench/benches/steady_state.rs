@@ -169,7 +169,6 @@ fn bench(c: &mut Criterion) {
     let budget = RestartBudget {
         max_suffix_bytes: 16 * 1024,
         max_dirty_pages: 32,
-        ..Default::default()
     };
     let controller = Controller::new(budget.clone());
     let ops = workload(n_ops, 23);

@@ -14,12 +14,12 @@
 //! * a **background flusher** cleans dirty pages under the WAL rule and
 //!   the write-order constraints, exactly like the sequential cache
 //!   manager;
-//! * a **checkpoint daemon** periodically takes a fuzzy checkpoint —
-//!   snapshot the dirty-page table (with per-page recLSNs), append a
-//!   [`PageOpPayload::FuzzyCheckpoint`] record through the group-commit
-//!   path, publish it with the master pointer swing, and truncate the
-//!   log prefix the checkpoint proved redundant — so restart latency
-//!   stays bounded no matter how long the live run was.
+//! * a **checkpoint daemon** periodically takes a fuzzy checkpoint
+//!   through the crate-private `checkpoint` module — snapshot the
+//!   dirty-page table, append the record through the group-commit
+//!   path, publish it, and truncate the log prefix it proved
+//!   redundant — so restart latency stays bounded no matter how long
+//!   the live run was.
 //!
 //! Crashing tears the volatile components down and reassembles a
 //! sequential [`Db`] for the §6 recovery method to repair; the test
@@ -87,13 +87,14 @@ use rand::{Rng, SeedableRng};
 use redo_sim::cache::Constraint;
 use redo_sim::db::{Db, Geometry};
 use redo_sim::disk::Disk;
-use redo_sim::shard::ShardedStore;
+use redo_sim::shard::{PageLease, ShardedStore};
 use redo_sim::wal::ShardedLog;
 use redo_sim::{SimError, SimResult};
 use redo_theory::log::Lsn;
 use redo_workload::pages::{Cell, PageId, PageOp};
 
-use crate::control::{ControlPlan, Controller, RestartBudget, RestartEstimate};
+use crate::checkpoint::{self, Chain, Plan};
+use crate::control::{Control, ControlPlan, Controller, RestartEstimate};
 use crate::generalized::{Generalized, RestartAnalysis};
 use crate::oprecord::PageOpPayload;
 use crate::RecoveryStats;
@@ -120,7 +121,7 @@ struct Inner {
     /// on crash (the first post-crash checkpoint is then full, which is
     /// always sound), and untouched by abandoned attempts. A leaf lock:
     /// taken briefly, never while acquiring another.
-    chain: Mutex<Option<ChainState>>,
+    chain: Mutex<Option<Chain>>,
     /// On-demand restart bookkeeping; gate *membership* lives in the
     /// shard map ([`ShardedStore::is_gated`]) so the servable fast path
     /// never touches this mutex. Holding it serializes lazy replay —
@@ -144,22 +145,6 @@ struct OnlineRecovery {
 struct RecoveryState {
     analysis: RestartAnalysis,
     stats: RecoveryStats,
-}
-
-/// The daemon-side record of the checkpoint chain now in force: where
-/// its head and base sit, how deep the delta chain is, and the exact
-/// table/redo-start the head published.
-struct ChainState {
-    /// LSN of the newest published checkpoint record (the master).
-    head: Lsn,
-    /// LSN of the full snapshot the chain grows from.
-    base: Lsn,
-    /// Delta links from `head` back to `base` (0 when `head == base`).
-    depth: u64,
-    /// The full dirty-page table as published at `head`.
-    dpt: BTreeMap<PageId, Lsn>,
-    /// The redo-start published at `head`.
-    redo_start: Lsn,
 }
 
 /// Telemetry from the online checkpoint daemon.
@@ -209,11 +194,25 @@ impl SharedDb {
     /// A fresh shared database.
     #[must_use]
     pub fn new(geometry: Geometry) -> SharedDb {
+        SharedDb::assemble(
+            geometry,
+            ShardedLog::new(1),
+            Disk::new(),
+            OnlineRecovery::default(),
+        )
+    }
+
+    fn assemble(
+        geometry: Geometry,
+        log: ShardedLog<PageOpPayload>,
+        disk: Disk,
+        recovery: OnlineRecovery,
+    ) -> SharedDb {
         SharedDb {
             inner: Arc::new(Inner {
                 geometry,
-                log: Mutex::new(ShardedLog::new(1)),
-                store: ShardedStore::new(STORE_SHARDS),
+                log: Mutex::new(log),
+                store: ShardedStore::with_disk(STORE_SHARDS, disk),
                 latches: (0..STORE_SHARDS)
                     .map(|_| Mutex::new(BTreeMap::new()))
                     .collect::<Vec<_>>()
@@ -221,7 +220,7 @@ impl SharedDb {
                 inflight: Mutex::new(BTreeSet::new()),
                 daemon: Mutex::new(DaemonStats::default()),
                 chain: Mutex::new(None),
-                recovery: Mutex::new(OnlineRecovery::default()),
+                recovery: Mutex::new(recovery),
                 stop: AtomicBool::new(false),
             }),
         }
@@ -264,31 +263,15 @@ impl SharedDb {
         let geometry = crashed.geometry;
         let disk = std::mem::replace(&mut crashed.disk, Disk::new());
         let log = std::mem::replace(&mut crashed.log, ShardedLog::new(1));
-        let shared = SharedDb {
-            inner: Arc::new(Inner {
-                geometry,
-                log: Mutex::new(log),
-                store: ShardedStore::with_disk(STORE_SHARDS, disk),
-                latches: (0..STORE_SHARDS)
-                    .map(|_| Mutex::new(BTreeMap::new()))
-                    .collect::<Vec<_>>()
-                    .into_boxed_slice(),
-                inflight: Mutex::new(BTreeSet::new()),
-                daemon: Mutex::new(DaemonStats::default()),
-                chain: Mutex::new(None),
-                recovery: Mutex::new(OnlineRecovery {
-                    active: Some(RecoveryState { analysis, stats }),
-                    finished: None,
-                }),
-                stop: AtomicBool::new(false),
-            }),
+        let recovery = OnlineRecovery {
+            active: Some(RecoveryState { analysis, stats }),
+            finished: None,
         };
+        let shared = SharedDb::assemble(geometry, log, disk, recovery);
         shared.inner.store.gate_pages(gates.iter().copied());
         // A restart with nothing owed closes out right away.
         if gates.is_empty() {
-            shared
-                .recovery_tick()
-                .expect("empty restart cannot hit substrate errors");
+            shared.recovery_tick()?;
         }
         Ok(shared)
     }
@@ -413,24 +396,7 @@ impl SharedDb {
                     lease.fetch(cell.page, spp, Lsn::ZERO)?;
                     read_values.push(lease.page(cell.page).expect("just fetched").get(cell.slot));
                 }
-                for &cell in &op.writes {
-                    let v = op.output(cell, &read_values);
-                    lease.update(cell.page, lsn, |p| p.set(cell.slot, v))?;
-                }
-                let written = op.written_pages();
-                for r in op.read_pages() {
-                    if !written.contains(&r) {
-                        for &w in &written {
-                            lease.add_constraint(Constraint {
-                                blocked: r,
-                                blocked_above: lsn,
-                                requires: w,
-                                required_lsn: lsn,
-                            });
-                        }
-                    }
-                }
-                lease.add_atomic_group(&written, lsn);
+                apply_writes(&mut lease, spp, &op, lsn, &read_values)?;
                 state.stats.replayed.push(op.id);
             } else {
                 state.stats.skipped.push(op.id);
@@ -563,30 +529,7 @@ impl SharedDb {
         // withdrawal.
         {
             let mut lease = self.inner.store.lock_pages(&pages);
-            let applied = (|| -> SimResult<()> {
-                for page in op.written_pages() {
-                    lease.fetch(page, spp, Lsn::ZERO)?;
-                }
-                for &cell in &op.writes {
-                    let v = op.output(cell, &read_values);
-                    lease.update(cell.page, lsn, |p| p.set(cell.slot, v))?;
-                }
-                let written = op.written_pages();
-                for r in op.read_pages() {
-                    if !written.contains(&r) {
-                        for &w in &written {
-                            lease.add_constraint(Constraint {
-                                blocked: r,
-                                blocked_above: lsn,
-                                requires: w,
-                                required_lsn: lsn,
-                            });
-                        }
-                    }
-                }
-                lease.add_atomic_group(&written, lsn);
-                Ok(())
-            })();
+            let applied = apply_writes(&mut lease, spp, op, lsn, &read_values);
             self.inner.inflight.lock().remove(&lsn);
             applied?;
         }
@@ -657,52 +600,39 @@ impl SharedDb {
         Ok(false)
     }
 
-    /// One checkpoint-daemon tick: take a fuzzy snapshot of the
-    /// dirty-page table, append a [`PageOpPayload::FuzzyCheckpoint`]
-    /// record, force the log, publish the checkpoint by swinging the
-    /// master pointer, and truncate the log prefix below the
-    /// checkpoint's redo-start.
+    /// One checkpoint-daemon tick: a full fuzzy checkpoint planned and
+    /// published through the crate-private `checkpoint` module, skipped
+    /// when the system is quiescent.
     ///
     /// The snapshot and the append happen under the store **and** log
     /// locks together (see the module's lock-ordering note), so no
     /// apply can slip between them; the in-flight floor covers records
-    /// appended but not yet applied. Returns the published checkpoint
-    /// LSN, or `None` if the attempt was abandoned (record not durable,
-    /// or the pointer swing did not land — e.g. suppressed by fault
-    /// injection); an abandoned attempt leaves the previous checkpoint
-    /// in force and truncates nothing.
+    /// appended but not yet applied. Returns the checkpoint now in
+    /// force — the published one, or the standing one on a quiescent
+    /// skip — or `None` if the attempt was abandoned (record not
+    /// durable, or the master write did not land — e.g. suppressed by
+    /// fault injection); an abandoned attempt leaves the previous
+    /// checkpoint in force and truncates nothing.
     ///
     /// # Errors
     ///
     /// Substrate errors from the log force.
     pub fn checkpoint_tick(&self) -> SimResult<Option<Lsn>> {
-        self.checkpoint_with(None)
+        self.checkpoint_with(1)
     }
 
-    /// [`SharedDb::checkpoint_tick`] in *incremental* mode: while a
-    /// healthy chain shallower than `full_every` is in force, publish a
-    /// [`PageOpPayload::DeltaCheckpoint`] carrying only the dirty-page
-    /// -table delta against the chain head; every `full_every`-th
-    /// publication (and whenever no chain exists — fresh system, or
-    /// first checkpoint after a crash wiped the volatile chain state)
-    /// republishes a full snapshot so analysis' walk stays bounded.
-    /// The quiescent skip applies in both modes.
-    ///
-    /// # Errors
-    ///
-    /// Substrate errors from the log force.
-    pub fn checkpoint_tick_incremental(&self, full_every: u64) -> SimResult<Option<Lsn>> {
-        self.checkpoint_with(Some(full_every))
-    }
-
-    fn checkpoint_with(&self, full_every: Option<u64>) -> SimResult<Option<Lsn>> {
+    /// One checkpoint attempt, republishing a full snapshot every
+    /// `full_every` links and writing deltas in between (1: always
+    /// full). The chain it diffs against is the daemon's volatile view,
+    /// lost on crash, so the first checkpoint after a restart is full.
+    fn checkpoint_with(&self, full_every: u64) -> SimResult<Option<Lsn>> {
         // Snapshot + append, atomically w.r.t. appliers: the snapshot
         // holds every store shard (acquired in ascending order), so no
         // apply can slip between the table read and the append. The
         // recovery mutex is held across the same window (it precedes
         // the shards in the lock order) so lazy replay cannot move a
         // page from "gated" to "dirty in a shard" mid-snapshot.
-        let (ck, redo_start, table, is_delta) = {
+        let (ck, redo_start, next) = {
             let rec = self.inner.recovery.lock();
             let snapshot = self.inner.store.snapshot();
             let mut log = self.inner.log.lock();
@@ -733,115 +663,46 @@ impl SharedDb {
                 }
                 dirty = table.into_iter().collect();
             }
-            let table: BTreeMap<PageId, Lsn> = dirty.iter().copied().collect();
             let floor = self.inner.inflight.lock().first().copied();
-            let ck_expected = Lsn(log.last_lsn().0 + 1);
-            let candidate = [floor, dirty.iter().map(|&(_, rec)| rec).min()]
-                .into_iter()
-                .flatten()
-                .min();
-            // Quiescent skip: nothing was logged since the standing
-            // checkpoint, the table is unchanged, and the redo-start
-            // would not move. Republishing would force the log and swing
-            // the master for a byte-identical analysis — pure overhead.
-            // The clean-pool case needs care: with nothing dirty and
-            // nothing in flight `candidate` is `None` and the would-be
-            // redo-start is the *drifting* `ck_expected`, so compare it
-            // through `unwrap_or` against the published one instead.
-            let quiescent_head = {
-                let chain = self.inner.chain.lock();
-                chain.as_ref().and_then(|state| {
-                    (log.last_lsn() == state.head
-                        && table == state.dpt
-                        && candidate.unwrap_or(state.redo_start) == state.redo_start)
-                        .then_some(state.head)
-                })
-            };
-            if let Some(head) = quiescent_head {
-                self.inner.daemon.lock().checkpoints_skipped += 1;
-                return Ok(Some(head));
-            }
-            // Nothing dirty, nothing in flight: everything logged so far
-            // is installed, so recovery need only scan the checkpoint
-            // record itself.
-            let redo_start = candidate.unwrap_or(ck_expected);
-            // Incremental mode with a live chain below its depth bound:
-            // log only the delta against the head's published table.
-            let delta = {
-                let chain = self.inner.chain.lock();
-                match (full_every, chain.as_ref()) {
-                    (Some(fe), Some(state)) if state.depth + 1 < fe.max(1) => {
-                        let added: Vec<(PageId, Lsn)> = table
-                            .iter()
-                            .filter(|&(page, rec)| state.dpt.get(page) != Some(rec))
-                            .map(|(&page, &rec)| (page, rec))
-                            .collect();
-                        let removed: Vec<PageId> = state
-                            .dpt
-                            .keys()
-                            .filter(|page| !table.contains_key(page))
-                            .copied()
-                            .collect();
-                        Some(PageOpPayload::DeltaCheckpoint {
-                            prev: state.head,
-                            base: state.base,
-                            redo_start,
-                            added,
-                            removed,
-                        })
-                    }
-                    _ => None,
+            let plan = checkpoint::plan(
+                dirty,
+                floor,
+                log.last_lsn(),
+                self.inner.chain.lock().as_ref(),
+                full_every,
+            );
+            match plan {
+                Plan::Skip(head) => {
+                    self.inner.daemon.lock().checkpoints_skipped += 1;
+                    return Ok(Some(head));
                 }
-            };
-            let is_delta = delta.is_some();
-            let payload = delta.unwrap_or(PageOpPayload::FuzzyCheckpoint { dirty, redo_start });
-            let ck = log.append(payload)?;
-            debug_assert_eq!(ck, ck_expected);
-            (ck, redo_start, table, is_delta)
+                Plan::Publish {
+                    payload,
+                    redo_start,
+                    next,
+                } => {
+                    let ck = log.append(payload)?;
+                    debug_assert_eq!(ck, next.head);
+                    (ck, redo_start, next)
+                }
+            }
         };
-        // Make the record durable through the group-commit path.
+        // Make the record durable through the group-commit path, then
+        // publish with no shard locks: publication touches only the
+        // disk and the log.
         self.commit_tick();
-        // Publish + truncate. Both the force and the pointer swing can
-        // be suppressed by fault injection, and each suppression is
-        // silent — so verify both before truncating anything. No shard
-        // locks here: publication touches only the disk and the log.
         let mut disk = self.inner.store.disk();
         let mut log = self.inner.log.lock();
-        if log.stable_lsn() < ck {
+        let Some(reclaimed) = checkpoint::publish(&mut log, &mut disk, ck, redo_start)? else {
             self.inner.daemon.lock().checkpoints_abandoned += 1;
             return Ok(None);
-        }
-        disk.swing_pointer(ck)?;
-        if disk.master() != ck {
-            self.inner.daemon.lock().checkpoints_abandoned += 1;
-            return Ok(None);
-        }
-        let reclaimed = log.archive_prefix(redo_start)?;
-        // Publication landed: the chain bookkeeping moves to the new
-        // head. A delta extends the standing chain (same base, one
-        // deeper); a full snapshot starts a fresh one. An abandoned
-        // attempt never reaches here, so its orphaned record leaves the
-        // chain untouched — exactly right, since the master still names
-        // the old head and analysis will skip the orphan.
-        {
-            let mut chain = self.inner.chain.lock();
-            *chain = Some(match (is_delta, chain.take()) {
-                (true, Some(prev)) => ChainState {
-                    head: ck,
-                    base: prev.base,
-                    depth: prev.depth + 1,
-                    dpt: table,
-                    redo_start,
-                },
-                _ => ChainState {
-                    head: ck,
-                    base: ck,
-                    depth: 0,
-                    dpt: table,
-                    redo_start,
-                },
-            });
-        }
+        };
+        // Publication landed: the chain moves to the new head. An
+        // abandoned attempt never reaches here, so its orphaned record
+        // leaves the chain untouched — exactly right, since the master
+        // still names the old head and analysis will skip the orphan.
+        let is_delta = next.depth > 0;
+        *self.inner.chain.lock() = Some(next);
         let mut daemon = self.inner.daemon.lock();
         daemon.checkpoints_taken += 1;
         if is_delta {
@@ -915,7 +776,7 @@ impl SharedDb {
             }
         }
         if plan.checkpoint {
-            self.checkpoint_tick_incremental(controller.budget.full_every)?;
+            self.checkpoint_with(Control::FULL_EVERY)?;
         }
         if !plan.archive_shards.is_empty() {
             // `est.redo_start` is a *published* horizon (or the first
@@ -1004,35 +865,6 @@ impl SharedDb {
         }
     }
 
-    /// The adaptive counterpart of [`SharedDb::background_loop`]: the
-    /// same group-commit / random-flusher / latch-GC cadence, but the
-    /// fixed-period checkpoint daemon is replaced by a
-    /// [`SharedDb::control_tick`] steering toward `budget` — checkpoints
-    /// fire when estimated restart cost crosses the budget (and are
-    /// skipped when the system is quiescent), the coldest page is
-    /// flushed when the suffix builds, and skewed shards drain to the
-    /// archive tier.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a tick hits an unexpected substrate error, exactly as
-    /// [`SharedDb::background_loop`] does.
-    pub fn background_loop_adaptive(&self, seed: u64, flush_prob: f64, budget: RestartBudget) {
-        let controller = Controller::new(budget);
-        let mut rng = StdRng::seed_from_u64(seed);
-        while !self.stopping() {
-            self.recovery_tick()
-                .expect("recovery tick hit an unexpected substrate error");
-            self.commit_tick();
-            self.flusher_tick(&mut rng, flush_prob)
-                .expect("flusher tick hit an unexpected substrate error");
-            self.latch_gc_tick();
-            self.control_tick(&controller)
-                .expect("control tick hit an unexpected substrate error");
-            std::thread::yield_now();
-        }
-    }
-
     /// CRASH: tears down the shared database (volatile state vanishes)
     /// and reassembles the surviving parts as a sequential [`Db`] ready
     /// for a §6 recovery method.
@@ -1056,9 +888,46 @@ impl SharedDb {
     }
 }
 
+/// Applies `op`'s writes at `lsn` under `lease` (fetching the written
+/// pages first) from the values its reads observed, then registers the
+/// write-order constraints that keep each page it only read from
+/// flushing ahead of the pages it wrote, and its write set's atomic
+/// flush group.
+fn apply_writes(
+    lease: &mut PageLease<'_>,
+    spp: u16,
+    op: &PageOp,
+    lsn: Lsn,
+    read_values: &[u64],
+) -> SimResult<()> {
+    let written = op.written_pages();
+    for &page in &written {
+        lease.fetch(page, spp, Lsn::ZERO)?;
+    }
+    for &cell in &op.writes {
+        let v = op.output(cell, read_values);
+        lease.update(cell.page, lsn, |p| p.set(cell.slot, v))?;
+    }
+    for r in op.read_pages() {
+        if !written.contains(&r) {
+            for &w in &written {
+                lease.add_constraint(Constraint {
+                    blocked: r,
+                    blocked_above: lsn,
+                    requires: w,
+                    required_lsn: lsn,
+                });
+            }
+        }
+    }
+    lease.add_atomic_group(&written, lsn);
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::control::RestartBudget;
     use crate::generalized::Generalized;
     use crate::RecoveryMethod;
     use redo_workload::pages::{Cell, PageWorkloadSpec};
@@ -1687,7 +1556,6 @@ mod tests {
         let budget = RestartBudget {
             max_suffix_bytes: 2048,
             max_dirty_pages: 8,
-            ..Default::default()
         };
         let controller = Controller::new(budget.clone());
         let zipf = Zipf::new(40, 0.9);
@@ -1774,5 +1642,106 @@ mod tests {
             grew > 20,
             "the workload must actually exercise map growth (saw {grew})"
         );
+    }
+
+    /// A published checkpoint as analysis sees it: its LSN, record kind
+    /// (`'F'` full, `'D'` delta), redo-start and folded dirty-page table.
+    type Published = (Lsn, char, Lsn, BTreeMap<PageId, Lsn>);
+
+    /// Reads the record at `ck` and folds it over `dpt`, the table
+    /// folded so far.
+    fn fold_published(
+        log: &ShardedLog<PageOpPayload>,
+        ck: Lsn,
+        dpt: &mut BTreeMap<PageId, Lsn>,
+    ) -> Published {
+        let rec = log.record_at_lsn(ck).expect("log intact").expect("record");
+        let (kind, redo_start) = match rec.payload {
+            PageOpPayload::FuzzyCheckpoint { dirty, redo_start } => {
+                *dpt = dirty.into_iter().collect();
+                ('F', redo_start)
+            }
+            PageOpPayload::DeltaCheckpoint {
+                redo_start,
+                added,
+                removed,
+                ..
+            } => {
+                for page in removed {
+                    dpt.remove(&page);
+                }
+                dpt.extend(added);
+                ('D', redo_start)
+            }
+            other => panic!("not a fuzzy checkpoint: {other:?}"),
+        };
+        (ck, kind, redo_start, dpt.clone())
+    }
+
+    #[test]
+    fn sequential_and_shared_engines_publish_the_same_chain() {
+        use crate::control::Control;
+        // The same ops, the same coldest-page flushes and the same
+        // checkpoint points through `Db` + `Control` and through a
+        // single-threaded `SharedDb` must publish the same records.
+        let ops = PageWorkloadSpec {
+            n_ops: 80,
+            n_pages: 6,
+            ..Default::default()
+        }
+        .generate(17);
+        let geometry = Geometry { slots_per_page: 8 };
+        let mut db: Db<PageOpPayload> = Db::new(geometry);
+        let shared = SharedDb::new(geometry);
+        let (mut seq, mut conc) = (Vec::new(), Vec::new());
+        let (mut seq_dpt, mut conc_dpt) = (BTreeMap::new(), BTreeMap::new());
+        for (i, op) in ops.iter().enumerate() {
+            Control.execute(&mut db, op).expect("execute");
+            shared.execute(op).expect("execute");
+            if (i + 1) % 7 == 0 {
+                // Clean the coldest page on both sides, so deltas carry
+                // removals as well as additions.
+                db.log.flush_all();
+                let coldest = db
+                    .pool
+                    .dirty_page_table()
+                    .into_iter()
+                    .min_by_key(|&(_, rec)| rec);
+                if let Some((page, _)) = coldest {
+                    let stable = db.log.stable_lsn();
+                    db.pool
+                        .flush_page(&mut db.disk, page, stable)
+                        .expect("flush");
+                }
+                let flushed = shared.flusher_tick_coldest().expect("coldest flush");
+                assert_eq!(flushed, coldest.is_some());
+            }
+            if (i + 1) % 5 == 0 {
+                let ck = Control::checkpoint_incremental(&mut db)
+                    .expect("checkpoint")
+                    .expect("published");
+                let published = fold_published(&db.log, ck, &mut seq_dpt);
+                let analysis = Generalized::analyze_dpt(&db).expect("analysis");
+                assert_eq!(analysis.dirty.as_ref(), Some(&published.3));
+                seq.push(published);
+                let ck = shared
+                    .checkpoint_with(Control::FULL_EVERY)
+                    .expect("checkpoint")
+                    .expect("published");
+                conc.push(fold_published(&shared.inner.log.lock(), ck, &mut conc_dpt));
+            }
+        }
+        assert_eq!(seq, conc);
+        let kinds: String = seq.iter().map(|p| p.1).collect();
+        assert_eq!(kinds, "FDDDFDDDFDDDFDDD");
+        assert!(
+            seq.windows(2)
+                .any(|w| w[1].1 == 'D' && w[0].3.keys().any(|p| !w[1].3.contains_key(p))),
+            "some delta must remove a page"
+        );
+        assert_eq!(shared.daemon_stats().deltas_published, 12);
+        let db = shared.crash();
+        let analysis = Generalized::analyze_dpt(&db).expect("analysis");
+        assert_eq!(analysis.dirty.as_ref(), Some(&conc_dpt));
     }
 }

@@ -23,12 +23,9 @@
 //! which actuators to fire:
 //!
 //! 1. **Checkpoint cadence** — checkpoint when estimated replay cost
-//!    crosses the budget, not on a timer. Checkpoints are *incremental*:
-//!    a [`PageOpPayload::DeltaCheckpoint`] carrying the DPT delta
-//!    against the previous record, chained by `prev` links to the full
-//!    snapshot at `base`, with a full [`PageOpPayload::FuzzyCheckpoint`]
-//!    republished every [`Control::FULL_EVERY`] links to bound the
-//!    chain analysis must walk.
+//!    crosses the budget, not on a timer. Checkpoints are *incremental*
+//!    delta chains re-anchored every [`Control::FULL_EVERY`] links,
+//!    planned and published by the crate-private `checkpoint` module.
 //! 2. **Targeted flushing** — flush the dirty page with the *minimum*
 //!    recLSN, the one pinning the truncation horizon, instead of a
 //!    random one.
@@ -40,18 +37,16 @@
 //! The planner ([`Controller::plan`]) is a pure function of the
 //! estimate, so its policy is unit-testable without a database. The
 //! [`Control`] method at the bottom is the *sequential* face of the
-//! loop — the same role [`GeneralizedOnline`](crate::online) plays for
-//! the concurrent daemon's full checkpoints — and exists chiefly so the
-//! crash audit can drive fault injection into every step of
-//! delta-chain publication through the generic harness.
-
-use std::collections::BTreeMap;
+//! loop, and exists chiefly so the crash audit can drive fault
+//! injection into every step of delta-chain publication through the
+//! generic harness.
 
 use redo_sim::db::Db;
 use redo_sim::SimResult;
 use redo_theory::log::Lsn;
-use redo_workload::pages::{PageId, PageOp};
+use redo_workload::pages::PageOp;
 
+use crate::checkpoint;
 use crate::generalized::Generalized;
 use crate::oprecord::PageOpPayload;
 use crate::{RecoveryMethod, RecoveryStats};
@@ -66,21 +61,17 @@ pub struct RestartBudget {
     /// Ceiling on dirty-page-table size — a proxy for the page fetches
     /// restart performs before its redo tests can run.
     pub max_dirty_pages: usize,
-    /// A shard whose live bytes exceed `shard_skew_limit` times its
-    /// even share of `max_suffix_bytes` gets a targeted archive drain.
-    pub shard_skew_limit: f64,
-    /// Republish a full snapshot every this many checkpoints; the links
-    /// in between are deltas.
-    pub full_every: u64,
 }
+
+/// A shard whose live bytes exceed this many times its even share of
+/// [`RestartBudget::max_suffix_bytes`] gets a targeted archive drain.
+pub const SHARD_SKEW_LIMIT: f64 = 2.0;
 
 impl Default for RestartBudget {
     fn default() -> Self {
         RestartBudget {
             max_suffix_bytes: 8 * 1024,
             max_dirty_pages: 16,
-            shard_skew_limit: 2.0,
-            full_every: Control::FULL_EVERY,
         }
     }
 }
@@ -159,7 +150,7 @@ impl Controller {
     /// start flushing the coldest page already at half the suffix
     /// budget (cheap, and it lets the *next* checkpoint truncate
     /// deeper); drain any shard whose live bytes exceed
-    /// `shard_skew_limit` times its even share of the suffix budget.
+    /// [`SHARD_SKEW_LIMIT`] times its even share of the suffix budget.
     #[must_use]
     pub fn plan(&self, est: &RestartEstimate) -> ControlPlan {
         let b = &self.budget;
@@ -170,7 +161,7 @@ impl Controller {
         let share = b.max_suffix_bytes / shards;
         #[allow(clippy::cast_precision_loss, clippy::cast_sign_loss)]
         #[allow(clippy::cast_possible_truncation)]
-        let shard_cap = (share as f64 * b.shard_skew_limit) as u64;
+        let shard_cap = (share as f64 * SHARD_SKEW_LIMIT) as u64;
         let archive_shards = est
             .live_bytes_by_shard
             .iter()
@@ -186,23 +177,6 @@ impl Controller {
     }
 }
 
-/// The volatile view of the published checkpoint chain, re-derived from
-/// the log each time (the [`Control`] method is stateless — that is
-/// what lets the generic crash audit drive faults into any step of
-/// publication and still find a consistent system afterwards).
-struct ChainInfo {
-    /// LSN of the newest published checkpoint record (the master).
-    head: Lsn,
-    /// LSN of the full snapshot the chain grows from.
-    base: Lsn,
-    /// Links from `head` back to `base` (0 when `head == base`).
-    depth: u64,
-    /// The folded dirty-page table as of `head`.
-    dpt: BTreeMap<PageId, Lsn>,
-    /// The redo-start published at `head`.
-    redo_start: Lsn,
-}
-
 /// Generalized LSN-based recovery whose checkpoints are budget-driven
 /// incremental deltas — the sequential face of the adaptive controller,
 /// and the method the crash audit runs under `--method control`.
@@ -213,59 +187,13 @@ impl Control {
     /// Republish a full snapshot after this many consecutive deltas.
     pub const FULL_EVERY: u64 = 4;
 
-    /// Re-derives the chain state from the record the master points at:
-    /// the folded DPT via [`Generalized::analyze_dpt`], the chain depth
-    /// by walking `prev` links. `None` when the master names no healthy
-    /// checkpoint (fresh system, orphaned record, torn chain) — the
-    /// next publication is then a full snapshot, which is always sound.
-    fn chain_state(db: &Db<PageOpPayload>) -> Option<ChainInfo> {
-        let master = db.disk.master();
-        let rec = db.log.record_at_lsn(master).ok()??;
-        let (base, published_redo_start) = match rec.payload {
-            PageOpPayload::FuzzyCheckpoint { redo_start, .. } => (master, redo_start),
-            PageOpPayload::DeltaCheckpoint {
-                base, redo_start, ..
-            } => (base, redo_start),
-            _ => return None,
-        };
-        let analysis = Generalized::analyze_dpt(db).ok()?;
-        // A fallback analysis (checkpoint_lsn != master, or no DPT)
-        // means the chain is torn: start a fresh one.
-        if analysis.checkpoint_lsn != Some(master) {
-            return None;
-        }
-        let dpt = analysis.dirty?;
-        let mut depth = 0u64;
-        let mut at = master;
-        while at != base {
-            let rec = db.log.record_at_lsn(at).ok()??;
-            let PageOpPayload::DeltaCheckpoint { prev, .. } = rec.payload else {
-                return None;
-            };
-            if prev >= at {
-                return None;
-            }
-            at = prev;
-            depth += 1;
-        }
-        Some(ChainInfo {
-            head: master,
-            base,
-            depth,
-            dpt,
-            redo_start: published_redo_start,
-        })
-    }
-
-    /// One incremental checkpoint attempt: skip if the system is
-    /// quiescent, publish a [`PageOpPayload::DeltaCheckpoint`] against
-    /// the live chain (or a full [`PageOpPayload::FuzzyCheckpoint`]
-    /// when there is no healthy chain or the chain is
-    /// [`Control::FULL_EVERY`] deep), then force / swing / truncate
-    /// exactly as [`GeneralizedOnline::checkpoint_online`]
-    /// (crate::online::GeneralizedOnline::checkpoint_online) does —
-    /// every step remains a faultable crash point, and an abandoned
-    /// attempt publishes nothing and truncates nothing.
+    /// One incremental checkpoint attempt against the chain analysis
+    /// folds from the master (the crate-private `checkpoint` module
+    /// has the plan and the publication protocol; every step remains a
+    /// faultable crash point). The chain is re-derived from the log
+    /// each time — the method is stateless, which is what lets the
+    /// generic crash audit drive faults into any step of publication
+    /// and still find a consistent system afterwards.
     ///
     /// Returns the LSN of the checkpoint now in force: the fresh one on
     /// publication, the standing one on a quiescent skip, `None` when
@@ -273,64 +201,12 @@ impl Control {
     ///
     /// # Errors
     ///
-    /// Substrate errors. (Fault suppression surfaces as an abandoned
-    /// attempt, not an error.)
+    /// Substrate errors, including log corruption at the master record.
+    /// (Fault suppression surfaces as an abandoned attempt, not an
+    /// error.)
     pub fn checkpoint_incremental(db: &mut Db<PageOpPayload>) -> SimResult<Option<Lsn>> {
-        let dirty = db.pool.dirty_page_table();
-        let table: BTreeMap<PageId, Lsn> = dirty.iter().copied().collect();
-        let ck_expected = Lsn(db.log.last_lsn().0 + 1);
-        let candidate = dirty.iter().map(|&(_, rec)| rec).min();
-        let chain = Self::chain_state(db);
-
-        if let Some(chain) = &chain {
-            // Quiescent skip: nothing was logged since the standing
-            // checkpoint, the DPT is unchanged, and the redo-start
-            // would not move (an empty table's candidate is the
-            // drifting `ck_expected`, so compare through `unwrap_or`).
-            if db.log.last_lsn() == chain.head
-                && table == chain.dpt
-                && candidate.unwrap_or(chain.redo_start) == chain.redo_start
-            {
-                return Ok(Some(chain.head));
-            }
-        }
-
-        let redo_start = candidate.unwrap_or(ck_expected);
-        let payload = match &chain {
-            Some(chain) if chain.depth + 1 < Self::FULL_EVERY => {
-                let added: Vec<(PageId, Lsn)> = table
-                    .iter()
-                    .filter(|&(page, rec)| chain.dpt.get(page) != Some(rec))
-                    .map(|(&page, &rec)| (page, rec))
-                    .collect();
-                let removed: Vec<PageId> = chain
-                    .dpt
-                    .keys()
-                    .filter(|page| !table.contains_key(page))
-                    .copied()
-                    .collect();
-                PageOpPayload::DeltaCheckpoint {
-                    prev: chain.head,
-                    base: chain.base,
-                    redo_start,
-                    added,
-                    removed,
-                }
-            }
-            _ => PageOpPayload::FuzzyCheckpoint { dirty, redo_start },
-        };
-        let ck = db.log.append(payload)?;
-        debug_assert_eq!(ck, ck_expected);
-        db.log.flush_all();
-        if db.log.stable_lsn() < ck {
-            return Ok(None);
-        }
-        db.disk.set_master(ck)?;
-        if db.disk.master() != ck {
-            return Ok(None);
-        }
-        db.log.archive_prefix(redo_start)?;
-        Ok(Some(ck))
+        let chain = Generalized::analyze_chain(db)?;
+        checkpoint::checkpoint(db, chain.as_ref(), Self::FULL_EVERY)
     }
 }
 
@@ -361,7 +237,7 @@ mod tests {
     use rand::SeedableRng;
     use redo_sim::db::Geometry;
     use redo_sim::fault::{FaultKind, FaultPlan};
-    use redo_workload::pages::{Cell, PageWorkloadSpec};
+    use redo_workload::pages::{Cell, PageId, PageWorkloadSpec};
 
     fn workload(n: usize, seed: u64) -> Vec<PageOp> {
         PageWorkloadSpec {
@@ -401,7 +277,6 @@ mod tests {
         let ctl = Controller::new(RestartBudget {
             max_suffix_bytes: 1000,
             max_dirty_pages: 100,
-            ..Default::default()
         });
         let mut est = RestartEstimate {
             suffix_bytes: 999,
@@ -421,7 +296,6 @@ mod tests {
         let ctl = Controller::new(RestartBudget {
             max_suffix_bytes: 1_000_000,
             max_dirty_pages: 4,
-            ..Default::default()
         });
         let est = RestartEstimate {
             suffix_bytes: 10,
@@ -438,7 +312,6 @@ mod tests {
     fn planner_targets_skewed_shards_only() {
         let ctl = Controller::new(RestartBudget {
             max_suffix_bytes: 4000,
-            shard_skew_limit: 2.0,
             ..Default::default()
         });
         // Even share = 1000/shard; cap = 2000. Shard 2 is over.

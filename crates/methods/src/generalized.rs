@@ -31,6 +31,7 @@ use redo_sim::{SimError, SimResult};
 use redo_theory::log::Lsn;
 use redo_workload::pages::{PageId, PageOp};
 
+use crate::checkpoint::Chain;
 use crate::oprecord::PageOpPayload;
 use crate::{RecoveryMethod, RecoveryStats, SCAN_BATCH};
 
@@ -207,6 +208,20 @@ impl RestartAnalysis {
         }
     }
 
+    /// The analysis of the checkpoint at `checkpoint`: scan from
+    /// `redo_start`, with the fuzzy table `dirty` if it carried one.
+    pub(crate) fn at(
+        checkpoint: Lsn,
+        redo_start: Lsn,
+        dirty: Option<BTreeMap<PageId, Lsn>>,
+    ) -> Self {
+        RestartAnalysis {
+            redo_start,
+            checkpoint_lsn: Some(checkpoint),
+            dirty,
+        }
+    }
+
     /// Is the record `(page, lsn)` provably installed by this analysis
     /// alone — no page fetch, no LSN comparison against the image?
     ///
@@ -256,6 +271,32 @@ impl Generalized {
     ///
     /// Log corruption at the master record.
     pub fn analyze_dpt(db: &Db<PageOpPayload>) -> SimResult<RestartAnalysis> {
+        Ok(Self::analyze_links(db)?.0)
+    }
+
+    /// The healthy checkpoint chain the master heads, as analysis
+    /// folded it; `None` when the master names no checkpoint, a
+    /// heavyweight one, or a torn delta chain (the next publication is
+    /// then a full snapshot, which is always sound).
+    ///
+    /// # Errors
+    ///
+    /// Log corruption at the master record.
+    pub(crate) fn analyze_chain(db: &Db<PageOpPayload>) -> SimResult<Option<Chain>> {
+        let (analysis, links) = Self::analyze_links(db)?;
+        Ok(links.zip(analysis.dirty).map(|((base, depth), dpt)| Chain {
+            head: db.disk.master(),
+            base,
+            depth,
+            dpt,
+            redo_start: analysis.redo_start,
+        }))
+    }
+
+    /// [`Generalized::analyze_dpt`] plus the `(base, depth)` of the
+    /// fuzzy chain the master heads, when analysis read it without
+    /// falling back.
+    fn analyze_links(db: &Db<PageOpPayload>) -> SimResult<(RestartAnalysis, Option<(Lsn, u64)>)> {
         let master = db.disk.master();
         if master > Lsn::ZERO {
             let mut cursor = db.log.cursor_from(master);
@@ -264,18 +305,13 @@ impl Generalized {
                 if rec.lsn == master {
                     match rec.payload {
                         PageOpPayload::Checkpoint => {
-                            return Ok(RestartAnalysis {
-                                redo_start: master.next(),
-                                checkpoint_lsn: Some(master),
-                                dirty: None,
-                            })
+                            let redo_start = master.next();
+                            return Ok((RestartAnalysis::at(master, redo_start, None), None));
                         }
                         PageOpPayload::FuzzyCheckpoint { dirty, redo_start } => {
-                            return Ok(RestartAnalysis {
-                                redo_start,
-                                checkpoint_lsn: Some(master),
-                                dirty: Some(dirty.into_iter().collect()),
-                            })
+                            let dirty = Some(dirty.into_iter().collect());
+                            let analysis = RestartAnalysis::at(master, redo_start, dirty);
+                            return Ok((analysis, Some((master, 0))));
                         }
                         PageOpPayload::DeltaCheckpoint {
                             prev,
@@ -293,7 +329,7 @@ impl Generalized {
                 }
             }
         }
-        Ok(RestartAnalysis::full_scan())
+        Ok((RestartAnalysis::full_scan(), None))
     }
 }
 
@@ -315,7 +351,8 @@ const MAX_DELTA_CHAIN: usize = 64;
 /// durably installed (that is what publication proved), redo tests are
 /// monotone, and a base snapshot's `provably_installed` verdicts were
 /// true at its own publication — so a stale analysis replays more, never
-/// wrongly skips.
+/// wrongly skips. Alongside the analysis, reports the chain's `(base,
+/// depth)` when the fold succeeded.
 fn fold_delta_chain(
     db: &Db<PageOpPayload>,
     master: Lsn,
@@ -324,7 +361,7 @@ fn fold_delta_chain(
     redo_start: Lsn,
     added: Vec<(PageId, Lsn)>,
     removed: Vec<PageId>,
-) -> RestartAnalysis {
+) -> (RestartAnalysis, Option<(Lsn, u64)>) {
     let mut deltas = vec![(added, removed)];
     let mut link = prev;
     let mut at = master;
@@ -359,22 +396,18 @@ fn fold_delta_chain(
     };
     match base_dirty {
         Some(dirty) => {
+            let depth = deltas.len() as u64;
             let mut dpt: BTreeMap<PageId, Lsn> = dirty.into_iter().collect();
             for (added, removed) in deltas.into_iter().rev() {
                 for page in removed {
                     dpt.remove(&page);
                 }
-                for (page, rec) in added {
-                    dpt.insert(page, rec);
-                }
+                dpt.extend(added);
             }
-            RestartAnalysis {
-                redo_start,
-                checkpoint_lsn: Some(master),
-                dirty: Some(dpt),
-            }
+            let analysis = RestartAnalysis::at(master, redo_start, Some(dpt));
+            (analysis, Some((base, depth)))
         }
-        None => fall_back_to_base(db, base),
+        None => (fall_back_to_base(db, base), None),
     }
 }
 
@@ -384,11 +417,7 @@ fn fold_delta_chain(
 fn fall_back_to_base(db: &Db<PageOpPayload>, base: Lsn) -> RestartAnalysis {
     if let Ok(Some(rec)) = db.log.record_at_lsn(base) {
         if let PageOpPayload::FuzzyCheckpoint { dirty, redo_start } = rec.payload {
-            return RestartAnalysis {
-                redo_start,
-                checkpoint_lsn: Some(base),
-                dirty: Some(dirty.into_iter().collect()),
-            };
+            return RestartAnalysis::at(base, redo_start, Some(dirty.into_iter().collect()));
         }
     }
     RestartAnalysis::full_scan()

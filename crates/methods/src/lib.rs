@@ -49,6 +49,7 @@
 #![warn(rust_2018_idioms)]
 
 pub mod broken;
+mod checkpoint;
 pub mod concurrent;
 pub mod control;
 pub mod fuzzy;

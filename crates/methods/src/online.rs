@@ -5,34 +5,12 @@
 //! [`crate::generalized::Generalized`]'s heavyweight checkpoint flushes
 //! every dirty page before writing its record — simple, but it stalls
 //! normal operation for the whole flush storm. The online discipline
-//! checkpoints *fuzzily*: snapshot the buffer pool's dirty-page table
-//! with per-page recLSNs, append a
-//! [`PageOpPayload::FuzzyCheckpoint`] record carrying the snapshot and
-//! its precomputed redo-start LSN (the minimum recLSN — every update
-//! below it is installed), and publish the checkpoint by atomically
-//! moving the disk master pointer. Nothing is flushed; the page-LSN
-//! redo tests make scanning from the redo-start exact.
-//!
-//! Publication is a three-step protocol, and each step is a faultable
-//! crash point ([`redo_sim::fault`]):
-//!
-//! 1. **Force** the checkpoint record through the log. A torn or
-//!    suppressed flush leaves `stable_lsn` below the record — the
-//!    attempt is *abandoned*: the previous checkpoint stays in force
-//!    and recovery falls back to it.
-//! 2. **Swing** the master pointer to the record's LSN. The write is
-//!    a single faultable atomic act; if it is suppressed the master
-//!    still names the previous checkpoint — abandoned again, and the
-//!    now-orphaned checkpoint record is harmlessly skipped by the
-//!    redo scan (it is not an operation).
-//! 3. Only after *verifying* both steps landed does the method
-//!    **truncate** the stable-log prefix below the redo-start
-//!    ([`redo_sim::wal::ShardedLog::archive_prefix`]): every record
-//!    there is applied and its page durably installed, so no future
-//!    recovery can need it. Truncating any earlier would be unsound —
-//!    a crash before publication must still be able to recover from
-//!    the previous checkpoint, whose scan may start inside the
-//!    would-be-truncated prefix.
+//! checkpoints *fuzzily*: it appends a
+//! [`PageOpPayload::FuzzyCheckpoint`] carrying the buffer pool's
+//! dirty-page table and its redo-start, publishes it through the master
+//! pointer and truncates the log below the redo-start, flushing
+//! nothing. Planning and the force → verify → move master → verify →
+//! truncate protocol live in the crate-private `checkpoint` module.
 //!
 //! Execution and recovery are exactly [`Generalized`]'s —
 //! [`Generalized::analyze`] already dispatches on the record the
@@ -43,6 +21,7 @@ use redo_sim::SimResult;
 use redo_theory::log::Lsn;
 use redo_workload::pages::PageOp;
 
+use crate::checkpoint;
 use crate::generalized::Generalized;
 use crate::oprecord::PageOpPayload;
 use crate::{RecoveryMethod, RecoveryStats};
@@ -64,29 +43,9 @@ impl GeneralizedOnline {
     /// Substrate errors. (Fault suppression is not an error — it
     /// surfaces as an abandoned attempt.)
     pub fn checkpoint_online(db: &mut Db<PageOpPayload>) -> SimResult<Option<Lsn>> {
-        let dirty = db.pool.dirty_page_table();
-        let ck_expected = Lsn(db.log.last_lsn().0 + 1);
-        // No dirty pages: everything logged so far is installed, and the
-        // scan need only start at the checkpoint record itself.
-        let redo_start = dirty
-            .iter()
-            .map(|&(_, rec)| rec)
-            .min()
-            .unwrap_or(ck_expected);
-        let ck = db
-            .log
-            .append(PageOpPayload::FuzzyCheckpoint { dirty, redo_start })?;
-        debug_assert_eq!(ck, ck_expected);
-        db.log.flush_all();
-        if db.log.stable_lsn() < ck {
-            return Ok(None);
-        }
-        db.disk.set_master(ck)?;
-        if db.disk.master() != ck {
-            return Ok(None);
-        }
-        db.log.archive_prefix(redo_start)?;
-        Ok(Some(ck))
+        // No chain and a full snapshot every time: never a skip, never
+        // a delta.
+        checkpoint::checkpoint(db, None, 1)
     }
 }
 

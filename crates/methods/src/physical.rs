@@ -22,6 +22,7 @@ use redo_sim::{SimError, SimResult};
 use redo_theory::log::Lsn;
 use redo_workload::pages::{Cell, PageId, PageOp};
 
+use crate::checkpoint;
 use crate::generalized::RestartAnalysis;
 use crate::{RecoveryMethod, RecoveryStats, SCAN_BATCH};
 
@@ -146,18 +147,11 @@ impl Physical {
                 if rec.lsn == master {
                     match rec.payload {
                         PhysPayload::Checkpoint => {
-                            return Ok(RestartAnalysis {
-                                redo_start: master.next(),
-                                checkpoint_lsn: Some(master),
-                                dirty: None,
-                            })
+                            return Ok(RestartAnalysis::at(master, master.next(), None))
                         }
                         PhysPayload::FuzzyCheckpoint { dirty, redo_start } => {
-                            return Ok(RestartAnalysis {
-                                redo_start,
-                                checkpoint_lsn: Some(master),
-                                dirty: Some(dirty.into_iter().collect()),
-                            })
+                            let dirty = Some(dirty.into_iter().collect());
+                            return Ok(RestartAnalysis::at(master, redo_start, dirty));
                         }
                         PhysPayload::Writes { .. } => {}
                     }
@@ -168,12 +162,11 @@ impl Physical {
     }
 
     /// One *online* checkpoint attempt for the physical method: no page
-    /// flushing, just a dirty-page-table snapshot published through the
-    /// master pointer, followed by prefix truncation. The protocol and
-    /// its abandonment semantics mirror
-    /// [`crate::online::GeneralizedOnline::checkpoint_online`]; returns
-    /// the published checkpoint LSN, or `None` if the attempt was
-    /// abandoned under fault injection.
+    /// flushing, just a dirty-page-table snapshot published through
+    /// the crate-private `checkpoint` module's protocol, followed by
+    /// prefix truncation.
+    /// Returns the published checkpoint LSN, or `None` if the attempt
+    /// was abandoned under fault injection.
     ///
     /// # Errors
     ///
@@ -181,26 +174,9 @@ impl Physical {
     /// surfaces as an abandoned attempt.)
     pub fn checkpoint_fuzzy(db: &mut Db<PhysPayload>) -> SimResult<Option<Lsn>> {
         let dirty = db.pool.dirty_page_table();
-        let ck_expected = Lsn(db.log.last_lsn().0 + 1);
-        let redo_start = dirty
-            .iter()
-            .map(|&(_, rec)| rec)
-            .min()
-            .unwrap_or(ck_expected);
-        let ck = db
-            .log
-            .append(PhysPayload::FuzzyCheckpoint { dirty, redo_start })?;
-        debug_assert_eq!(ck, ck_expected);
-        db.log.flush_all();
-        if db.log.stable_lsn() < ck {
-            return Ok(None);
-        }
-        db.disk.set_master(ck)?;
-        if db.disk.master() != ck {
-            return Ok(None);
-        }
-        db.log.archive_prefix(redo_start)?;
-        Ok(Some(ck))
+        let redo_start = checkpoint::redo_start(&dirty, None, db.log.last_lsn());
+        let payload = PhysPayload::FuzzyCheckpoint { dirty, redo_start };
+        checkpoint::append_and_publish(db, payload, redo_start)
     }
 }
 

@@ -110,7 +110,6 @@ proptest! {
         let budget = RestartBudget {
             max_suffix_bytes: 2048,
             max_dirty_pages: 8,
-            ..Default::default()
         };
         let controller = Controller::new(budget.clone());
 
